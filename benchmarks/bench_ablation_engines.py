@@ -11,16 +11,24 @@ Design choices called out in DESIGN.md:
 
 from __future__ import annotations
 
+import sys
 import time
+from pathlib import Path
 
 from repro.logic import parse
-from repro.sat import CNF, solve, solve_brute
+from repro.sat import CNF, solve
 from repro.synthesis import (
     Engine,
     SynthesisLimits,
     Verdict,
     check_realizability,
 )
+
+# The brute-force solver is the test suite's oracle (tests/reference/).
+TESTS = str(Path(__file__).resolve().parent.parent / "tests")
+if TESTS not in sys.path:
+    sys.path.insert(0, TESTS)
+from reference.sat import solve_brute  # noqa: E402
 
 SPECS = [
     ("request/grant", ["G (r -> X g)"], ["r"], ["g"]),

@@ -11,8 +11,9 @@ for:
   one-shot CLI amounted to before this subsystem existed.
 * **batch**: throughput in documents/second over the generated Table-I
   component specifications: the thread backend at 1/4/8 workers, the
-  pre-pool ``process-fresh`` backend (one cold tool per task — the
-  regression this file exists to expose), and the persistent sharded
+  pre-pool fresh-process runner from ``tests/reference/batch.py`` (one
+  cold tool per task — the regression this file exists to expose,
+  reported as ``process_fresh``), and the persistent sharded
   :class:`repro.service.WorkerPool`.  Pool startup seconds are reported
   on their own line, *cold* is the first pass over the corpus and
   *steady* re-runs the corpus over warm worker caches — the number that
@@ -66,14 +67,16 @@ from pathlib import Path
 from typing import Dict, List, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-if str(REPO_ROOT / "src") not in sys.path:
-    sys.path.insert(0, str(REPO_ROOT / "src"))
+for path in (REPO_ROOT / "src", REPO_ROOT / "tests"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
 
 from repro import SpecCC, SpecCCConfig, SpecSession, TranslationOptions  # noqa: E402
 from repro.casestudies import component_requirements  # noqa: E402
 from repro.service.batch import BatchChecker  # noqa: E402
 from repro.service.pool import WorkerPool  # noqa: E402
 from repro.service.server import serve, serve_async  # noqa: E402
+from reference.batch import check_fresh_processes  # noqa: E402
 
 SCHEMA = "repro-bench-service/5"
 
@@ -202,9 +205,8 @@ def bench_batch(quick: bool) -> Dict[str, object]:
     # never again hide behind a single docs/sec number.
     try:
         SpecCC.clear_caches()
-        checker = BatchChecker(config=_config(), workers=4, backend="process-fresh")
         start = time.perf_counter()
-        batch = checker.check_documents(documents)
+        batch = check_fresh_processes(documents, workers=4, config=_config())
         seconds = time.perf_counter() - start
         payload = [json.dumps(result.data, sort_keys=True) for result in batch]
         deterministic = deterministic and payload == canonical

@@ -4,8 +4,8 @@ Measures the two optimisations of the synthesis-engine overhaul and guards
 them with correctness cross-checks:
 
 * **propagation**: CDCL clause visits per propagation, two-watched-literal
-  lists (``propagation="watch"``) vs the full-clause re-scan reference
-  (``propagation="scan"``) on random 3-SAT, pigeonhole and a real
+  lists (``CDCLSolver``) vs the full-clause re-scan reference
+  (``ScanCDCLSolver``) on random 3-SAT, pigeonhole and a real
   bounded-synthesis encoding.  The watched scheme must visit at least 2x
   fewer clauses per propagation, and both schemes must agree on every
   verdict.
@@ -15,17 +15,20 @@ them with correctness cross-checks:
   outputs, plus byte-identical-strategy equivalence checks on a spec
   portfolio.
 * **incremental_bounds**: bounded synthesis over a growing 1→N state
-  ladder, one persistent ``IncrementalBoundedSynthesizer``
-  (``encoding="incremental"``) vs a from-scratch encoding per bound
-  (``encoding="fresh"``) on realizable and unrealizable specs.  Verdict
+  ladder, one persistent ``IncrementalBoundedSynthesizer`` vs a
+  from-scratch encoding per bound (``FreshBoundedSynthesizer``) on
+  realizable and unrealizable specs.  Verdict
   ladders must agree between the encodings (and with the committed
   goldens), extracted machines must be byte-identical, and the
   incremental path must pay at least 2x fewer SAT conflicts in
   aggregate.
-* **game_early_abort**: on-the-fly attractor solving
-  (``solving="onthefly"``) vs full exploration plus the post-hoc
-  fixpoint (``solving="offline"``) on games that are losing at the
-  given bound — the early abort must visit strictly fewer positions.
+* **game_early_abort**: on-the-fly attractor solving vs full
+  exploration plus the post-hoc fixpoint (``solving="offline"``) on
+  games that are losing at the given bound — the early abort must visit
+  strictly fewer positions.
+
+The reference engines are the differential oracles of the test suite,
+imported from ``tests/reference/``.
 * **case_studies**: end-to-end verdicts (and engine-work counters) on the
   paper's three case studies, asserted identical to the committed
   seed-goldens in ``benchmarks/baseline_synthesis.json``.
@@ -39,6 +42,7 @@ Usage (from the repository root)::
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import platform
 import random
@@ -48,8 +52,9 @@ from pathlib import Path
 from typing import Dict, List, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-if str(REPO_ROOT / "src") not in sys.path:
-    sys.path.insert(0, str(REPO_ROOT / "src"))
+for path in (REPO_ROOT / "src", REPO_ROOT / "tests"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
 
 from repro import SpecCC, SpecCCConfig, TranslationOptions  # noqa: E402
 from repro.casestudies import (  # noqa: E402
@@ -67,6 +72,9 @@ from repro.synthesis import (  # noqa: E402
     solve_safety_game,
     synthesis_stats,
 )
+from reference import safety_game as reference_game  # noqa: E402
+from reference.bounded import FreshBoundedSynthesizer  # noqa: E402
+from reference.sat import ScanCDCLSolver  # noqa: E402
 
 SCHEMA = "repro-bench-synthesis/2"
 BASELINE_SCHEMA = "repro-bench-synthesis-baseline/2"
@@ -137,8 +145,8 @@ def bench_propagation(quick: bool) -> Dict[str, object]:
     for name, cnf in propagation_instances(quick):
         row: Dict[str, object] = {}
         verdicts = {}
-        for mode in ("watch", "scan"):
-            solver = CDCLSolver(cnf, propagation=mode)
+        for mode, solver_class in (("watch", CDCLSolver), ("scan", ScanCDCLSolver)):
+            solver = solver_class(cnf)
             start = time.perf_counter()
             result = solver.solve()
             seconds = time.perf_counter() - start
@@ -193,7 +201,7 @@ def bench_safety_game(quick: bool) -> Dict[str, object]:
         partial = solve_safety_game(parse("G (r -> X g)"), ["r"], outputs, bound=2)
         partial_seconds = time.perf_counter() - start
         start = time.perf_counter()
-        concrete = solve_safety_game(
+        concrete = reference_game.solve(
             parse("G (r -> X g)"), ["r"], outputs, bound=2, exploration="concrete"
         )
         concrete_seconds = time.perf_counter() - start
@@ -215,7 +223,7 @@ def bench_safety_game(quick: bool) -> Dict[str, object]:
     for name, text, inputs, outputs in EQUIVALENCE_SPECS:
         for bound in (1, 2):
             partial = solve_safety_game(parse(text), inputs, outputs, bound=bound)
-            concrete = solve_safety_game(
+            concrete = reference_game.solve(
                 parse(text), inputs, outputs, bound=bound, exploration="concrete"
             )
             same = (
@@ -270,10 +278,10 @@ def bench_incremental_bounds(quick: bool) -> Dict[str, object]:
     for name, text, inputs, outputs in ladder_specs(quick):
         spec = parse(text)
         synths = {
-            encoding: IncrementalBoundedSynthesizer.for_system(
-                spec, inputs, outputs, encoding=encoding
-            )
-            for encoding in ("incremental", "fresh")
+            "incremental": IncrementalBoundedSynthesizer.for_system(
+                spec, inputs, outputs
+            ),
+            "fresh": FreshBoundedSynthesizer.for_system(spec, inputs, outputs),
         }
         conflicts = {"incremental": 0, "fresh": 0}
         seconds = {"incremental": 0.0, "fresh": 0.0}
@@ -361,11 +369,12 @@ def bench_game_early_abort(quick: bool) -> Dict[str, object]:
         spec = parse(text)
         results = {}
         seconds = {}
-        for solving in ("onthefly", "offline"):
+        for solving, solve in (
+            ("onthefly", solve_safety_game),
+            ("offline", functools.partial(reference_game.solve, solving="offline")),
+        ):
             start = time.perf_counter()
-            results[solving] = solve_safety_game(
-                spec, inputs, outputs, bound=bound, solving=solving
-            )
+            results[solving] = solve(spec, inputs, outputs, bound=bound)
             seconds[solving] = time.perf_counter() - start
         onthefly, offline = results["onthefly"], results["offline"]
         assert onthefly.realizable == offline.realizable, name

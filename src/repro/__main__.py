@@ -23,9 +23,15 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Optional
 
 from .core.pipeline import SpecCC, SpecCCConfig
-from .nlp import parse_sentence, render_sentence, split_sentences
+from .nlp import (
+    StructuredEnglishError,
+    parse_sentence,
+    render_sentence,
+    split_sentences,
+)
 from .translate import AbstractionMethod, TranslationOptions
 
 
@@ -287,11 +293,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch.add_argument(
         "--backend",
-        choices=["thread", "process", "process-fresh", "remote"],
+        choices=["thread", "process", "remote"],
         default="thread",
         help="worker pool backend: thread (shared in-process caches), "
-        "process (persistent sharded worker pool, warm per-process caches), "
-        "process-fresh (one cold tool per task; the pre-pool reference) "
+        "process (persistent sharded worker pool, warm per-process caches) "
         "or remote ('python -m repro worker' processes registered over "
         "TCP; needs --bind)",
     )
@@ -334,16 +339,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _sentence_line(text: str, sentence: str) -> Optional[int]:
+    """The 1-based line of *text* that holds *sentence*, if any."""
+    for number, line in enumerate(text.splitlines(), start=1):
+        if sentence in split_sentences(line):
+            return number
+    return None
+
+
 def run_check(args: argparse.Namespace) -> int:
     text = args.document.read_text()
     tool = SpecCC(_config_from(args))
 
-    if args.tree:
-        for sentence in split_sentences(text):
-            print(render_sentence(parse_sentence(sentence)))
-            print()
-
-    report = tool.check_document(text)
+    try:
+        if args.tree:
+            for sentence in split_sentences(text):
+                print(render_sentence(parse_sentence(sentence)))
+                print()
+        report = tool.check_document(text)
+    except StructuredEnglishError as error:
+        line = _sentence_line(text, error.sentence)
+        where = args.document if line is None else f"{args.document}:{line}"
+        print(f"{where}: {error}", file=sys.stderr)
+        return 2
     if args.json:
         from .service.reportjson import report_to_dict, stats_to_dict
 

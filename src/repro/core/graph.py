@@ -123,9 +123,6 @@ class AnalysisGraph:
         except KeyError:
             raise KeyError(f"unknown stage {stage!r}") from None
 
-    def stage_names(self) -> Tuple[str, ...]:
-        return tuple(self._stages)
-
     # ------------------------------------------------------------- compute
     def compute(
         self,

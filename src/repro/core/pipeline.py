@@ -298,7 +298,10 @@ class SpecCC:
                     limits=self.config.limits,
                 )
                 localization = localize(formulas, checker)
-                sp.set(core=len(localization.core))
+                # None: no prefix was decided unrealizable (verdict unknown).
+                sp.set(
+                    core=None if localization is None else len(localization.core)
+                )
 
         return ConsistencyReport(
             translation=translation,

@@ -150,11 +150,6 @@ IRREGULAR_PARTICIPLES: Dict[str, str] = {
 }
 
 
-def is_verb_form(word: str) -> bool:
-    """True when *word* looks like an inflected or base verb."""
-    return verb_lemma(word) is not None
-
-
 def verb_lemma(word: str) -> Optional[str]:
     """The base form of a verb token, or ``None`` if not recognised."""
     word = word.lower()

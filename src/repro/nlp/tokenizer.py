@@ -21,10 +21,6 @@ class Token:
     text: str
     index: int
 
-    @property
-    def is_word(self) -> bool:
-        return bool(re.match(r"[a-z0-9]", self.text))
-
 
 _TOKEN_RE = re.compile(
     r"""

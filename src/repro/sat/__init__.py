@@ -1,6 +1,5 @@
-"""SAT substrate: CNF, Tseitin encoding, CDCL and a brute-force reference."""
+"""SAT substrate: CNF, Tseitin encoding and a CDCL solver."""
 
-from .brute import solve_brute
 from .cdcl import CDCLSolver, SatResult, solve
 from .cnf import CNF, Clause, Lit
 from .tseitin import NotPropositional, assert_formula, encode
@@ -15,5 +14,4 @@ __all__ = [
     "assert_formula",
     "encode",
     "solve",
-    "solve_brute",
 ]

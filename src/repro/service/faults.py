@@ -219,11 +219,6 @@ def install(plan: Optional[FaultPlan], shard: int, spawn: int) -> None:
             os._exit(1)
 
 
-def uninstall() -> None:
-    """Disarm fault injection in this process (tests)."""
-    install(None, shard=0, spawn=0)
-
-
 def on_task_start() -> None:
     """Advance the task counter and fire crash/delay faults due now.
 

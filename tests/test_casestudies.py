@@ -166,6 +166,21 @@ class TestCLI:
         assert code == 1
         assert "unrealizable" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flags", [[], ["--tree"]])
+    def test_unparseable_sentence_reports_its_line(self, tmp_path, capsys, flags):
+        from repro.__main__ import main
+
+        document = tmp_path / "doc.txt"
+        document.write_text(
+            "# header\nIf the button is pressed, the lamp is activated.\nThe door.\n"
+        )
+        code = main(["check", str(document), *flags])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith(f"{document}:3: ")
+        assert "no predicate" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_tree_flag(self, tmp_path, capsys):
         from repro.__main__ import main
 

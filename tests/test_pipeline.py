@@ -64,6 +64,21 @@ class TestPipelineBasics:
         )
         assert not report.consistent
 
+    def test_undecided_conflict_in_wide_component_is_not_localized(self):
+        # The contradiction's component is wider than the explicit
+        # engines' cap, so no prefix is decided unrealizable: localize
+        # returns None and the verdict must stay unknown, not raise.
+        config = SpecCCConfig(limits=SynthesisLimits(max_explicit_variables=0))
+        report = SpecCC(config).check(
+            [
+                ("R1", "The valve is opened."),
+                ("R2", "The valve is not opened."),
+            ]
+        )
+        assert report.verdict is Verdict.UNKNOWN
+        assert report.localization is None
+        assert "inconsistent requirements" not in report.summary()
+
     def test_controllers_for_exact_engine(self):
         config = SpecCCConfig(
             limits=SynthesisLimits(use_obligations=False),

@@ -28,6 +28,8 @@ from repro.service.pool import (
 )
 from repro.service.supervision import SupervisionConfig, backoff_delay
 
+from reference.batch import check_fresh_processes
+
 DOCS = [
     ("consistent", "If the sensor is active, the valve is opened.\n"),
     (
@@ -103,12 +105,7 @@ class TestWorkerPool:
         sequential = canonical(BatchChecker(workers=1).check_documents(DOCS))
         assert canonical(BatchChecker(workers=4).check_documents(DOCS)) == sequential
         assert (
-            canonical(
-                BatchChecker(workers=2, backend="process-fresh").check_documents(
-                    DOCS
-                )
-            )
-            == sequential
+            canonical(check_fresh_processes(DOCS, workers=2)) == sequential
         )
         for shards in (1, 2, 4):
             with WorkerPool(shards=shards) as pool:

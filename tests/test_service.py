@@ -1137,11 +1137,17 @@ class TestServeHardening:
                         "nope",
                     ],
                 },
+                {
+                    "op": "batch",
+                    "backend": "process-fresh",
+                    "documents": [{"name": "ok", "text": "The valve is opened."}],
+                },
             ]
         )
-        assert [r["ok"] for r in responses] == [False, False, False]
-        assert [r["code"] for r in responses] == ["bad_request"] * 3
+        assert [r["ok"] for r in responses] == [False, False, False, False]
+        assert [r["code"] for r in responses] == ["bad_request"] * 4
         assert "documents[1]" in responses[2]["error"]
+        assert "unknown backend" in responses[3]["error"]
 
     def test_batch_malformed_entry_is_bad_request_async(self):
         responses = run_serve_async([{"op": "batch", "documents": [42]}])
@@ -1214,14 +1220,6 @@ class TestCLI:
         args = build_parser().parse_args(["serve", "--async"])
         assert args.use_async is True
         assert build_parser().parse_args(["serve"]).use_async is False
-
-    def test_batch_accepts_process_fresh_backend(self):
-        from repro.__main__ import build_parser
-
-        args = build_parser().parse_args(
-            ["batch", ".", "--backend", "process-fresh"]
-        )
-        assert args.backend == "process-fresh"
 
     def test_serve_accepts_tcp_flags(self):
         from repro.__main__ import build_parser

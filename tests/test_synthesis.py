@@ -3,6 +3,8 @@ decomposition, localization, controller verification."""
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from repro.logic import parse
@@ -27,6 +29,8 @@ from repro.synthesis.invariants import (
     check_obligations,
     extract_obligations,
 )
+
+from reference import safety_game as reference_game
 
 ENGINES = [Engine.SAFETY_GAME, Engine.BOUNDED_SAT]
 
@@ -137,10 +141,8 @@ class TestSafetyGameEquivalence:
     @pytest.mark.parametrize("bound", [1, 2])
     @pytest.mark.parametrize("text,inputs,outputs", SPECS)
     def test_partial_matches_concrete(self, text, inputs, outputs, bound):
-        partial = solve_safety_game(
-            parse(text), inputs, outputs, bound=bound, exploration="partial"
-        )
-        concrete = solve_safety_game(
+        partial = solve_safety_game(parse(text), inputs, outputs, bound=bound)
+        concrete = reference_game.solve(
             parse(text), inputs, outputs, bound=bound, exploration="concrete"
         )
         assert partial.realizable == concrete.realizable
@@ -160,7 +162,7 @@ class TestSafetyGameEquivalence:
             bound=2,
         )
         assert wide.stats["letters_enumerated"] == base.stats["letters_enumerated"]
-        concrete = solve_safety_game(
+        concrete = reference_game.solve(
             parse("G (r -> X g)"),
             ["r"],
             ["g"] + [f"o{k}" for k in range(8)],
@@ -170,10 +172,6 @@ class TestSafetyGameEquivalence:
         assert concrete.stats["letters_enumerated"] == 2 ** 8 * base.stats[
             "letters_enumerated"
         ]
-
-    def test_unknown_exploration_mode_rejected(self):
-        with pytest.raises(ValueError):
-            solve_safety_game(parse("G (r -> g)"), ["r"], ["g"], exploration="fast")
 
     def test_case_study_components_equivalent(self):
         """All three case studies: every explicitly checkable component's
@@ -206,7 +204,7 @@ class TestSafetyGameEquivalence:
                 partial = solve_safety_game(
                     specification, local_inputs, local_outputs, bound=2
                 )
-                concrete = solve_safety_game(
+                concrete = reference_game.solve(
                     specification,
                     local_inputs,
                     local_outputs,
@@ -224,21 +222,29 @@ class TestSafetyGameEquivalence:
                 compared += 1
         assert compared >= 3  # every study contributed at least one component
 
-    def test_realizability_verdicts_equivalent(self):
-        """check_realizability with game_exploration="concrete" is the
+    def test_realizability_verdicts_equivalent(self, monkeypatch):
+        """check_realizability over the concrete-letter game is the
         pre-optimisation engine; verdicts must not change."""
+        from repro.synthesis.realizability import clear_caches
+
+        concrete_game = functools.partial(
+            reference_game.solve, exploration="concrete"
+        )
         for text, inputs, outputs, _ in TestEnginesAgree.CASES:
             formulas = [parse(text)]
-            partial = check_realizability(
-                formulas, inputs, outputs,
-                limits=SynthesisLimits(use_obligations=False),
-            )
-            concrete = check_realizability(
-                formulas, inputs, outputs,
-                limits=SynthesisLimits(
-                    use_obligations=False, game_exploration="concrete"
-                ),
-            )
+            limits = SynthesisLimits(use_obligations=False)
+            partial = check_realizability(formulas, inputs, outputs, limits=limits)
+            # Component outcomes are cached by formulas and limits, not by
+            # engine: clear them so the reference engine really runs.
+            clear_caches()
+            with monkeypatch.context() as patched:
+                patched.setattr(
+                    "repro.synthesis.realizability.solve_game", concrete_game
+                )
+                concrete = check_realizability(
+                    formulas, inputs, outputs, limits=limits
+                )
+            clear_caches()
             assert partial.verdict is concrete.verdict, text
 
 
@@ -308,7 +314,7 @@ class TestSafetyGameEngine:
         from repro.synthesis import StateSpaceLimit
 
         with pytest.raises(StateSpaceLimit):
-            solve_safety_game(
+            reference_game.solve(
                 parse("G (a -> X X X X b)"), ["a"], ["b"],
                 bound=3, max_positions=2, exploration="concrete",
             )
