@@ -23,7 +23,6 @@ Quickstart::
 from .core.graph import AnalysisGraph, shared_graph
 from .core.pipeline import ConsistencyReport, SpecCC, SpecCCConfig
 from .logic import parse as parse_ltl
-from .service import BatchChecker, SessionReport, SpecSession, WorkerPool
 from .synthesis.realizability import Engine, SynthesisLimits, Verdict
 from .translate.semantics import SemanticsDelta
 from .translate.templates import TranslationOptions
@@ -31,6 +30,18 @@ from .translate.timeabs import AbstractionMethod
 from .translate.translator import Translator
 
 __version__ = "1.3.0"
+
+# The service tier (asyncio, multiprocessing, sockets) loads on first use,
+# so ``import repro`` for a one-shot check stays cheap.
+_SERVICE_EXPORTS = frozenset({"BatchChecker", "SessionReport", "SpecSession", "WorkerPool"})
+
+
+def __getattr__(name: str):
+    if name in _SERVICE_EXPORTS:
+        from . import service
+
+        return getattr(service, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "AbstractionMethod",

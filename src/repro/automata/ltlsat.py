@@ -1,8 +1,10 @@
 """LTL satisfiability, validity and equivalence via automata emptiness.
 
-Satisfiability is the cheap first-stage consistency check the pipeline runs
-before the full realizability analysis: an unsatisfiable conjunction of
-requirements can never be implemented, whatever the input/output partition.
+The realizability driver uses satisfiability as its second stage, after
+the obligation certificate: an unsatisfiable conjunction of requirements
+can never be implemented, whatever the input/output partition.  It builds
+one tableau for the whole conjunction, so it is the expensive stage on
+components the certificate cannot decide.
 """
 
 from __future__ import annotations

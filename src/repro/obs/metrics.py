@@ -175,6 +175,16 @@ class MetricsRegistry:
                 self._histograms[name] = histogram
             histogram.observe(value)
 
+    def observe_spans(self, spans: Sequence[Tuple[str, float]]) -> None:
+        """Record ``(span name, seconds)`` pairs into ``span.<name>``
+        histograms, under one lock for the whole batch."""
+        with self._lock:
+            for name, value in spans:
+                histogram = self._histograms.get("span." + name)
+                if histogram is None:
+                    histogram = self._histograms["span." + name] = Histogram()
+                histogram.observe(value)
+
     # ----------------------------------------------------------- collectors
     def register_collector(self, namespace: str, fn: Callable[[], object]) -> None:
         """Attach a read-through *namespace*: *fn* is called at snapshot

@@ -85,10 +85,17 @@ class _NullSpan:
 NULL_SPAN = _NullSpan()
 
 
+class _ThreadStack(list):
+    """One thread's open spans, its name, and the ``(name, seconds)`` of
+    spans finished since its outermost span last closed (``unmetered``)."""
+
+    __slots__ = ("tid", "unmetered")
+
+
 class _Span:
     """One open span; finished spans live on as plain dict records."""
 
-    __slots__ = ("tracer", "name", "args", "id", "parent", "ts", "_start_ns")
+    __slots__ = ("tracer", "name", "args", "id", "parent", "ts", "_start_ns", "_stack")
 
     def __init__(
         self,
@@ -96,13 +103,15 @@ class _Span:
         name: str,
         args: Dict[str, Any],
         span_id: int,
-        parent: Optional[int],
+        stack: _ThreadStack,
     ) -> None:
         self.tracer = tracer
         self.name = name
         self.args = args
         self.id = span_id
-        self.parent = parent
+        self.parent = stack[-1].id if stack else None
+        # The opening thread's stack, so closing needs no thread-local lookup.
+        self._stack = stack
         self._start_ns = time.perf_counter_ns()
         self.ts = (self._start_ns - tracer._epoch_ns) / 1000.0
 
@@ -130,7 +139,7 @@ class Tracer:
     at ``WARNING`` with its attributes.  *record_metrics* feeds every
     finished span's duration into the process
     :class:`~repro.obs.metrics.MetricsRegistry` as a latency histogram
-    named ``span.<name>``.
+    named ``span.<name>``, in one batch per outermost span.
     """
 
     def __init__(
@@ -149,24 +158,26 @@ class Tracer:
         # the hot path (bench_core's tracing_overhead row polices this).
         self._ids = itertools.count(1)
         self._local = threading.local()
-        self._observe = None  # resolved lazily from the metrics registry
 
     # -------------------------------------------------------------- spans
-    def _stack(self) -> List[_Span]:
+    def _stack(self) -> _ThreadStack:
         local = self._local
         try:
             return local.stack
         except AttributeError:
-            stack: List[_Span] = []
-            local.stack = stack
-            local.tid = threading.current_thread().name
+            stack = local.stack = _ThreadStack()
+            stack.tid = threading.current_thread().name
+            stack.unmetered = []
             return stack
 
     def span(self, name: str, **attrs: object) -> _Span:
         """Open a nested span; use as a context manager."""
+        return self._open(name, attrs)
+
+    def _open(self, name: str, attrs: Dict[str, Any]) -> _Span:
+        # span() hands its own **attrs over here without packing them again.
         stack = self._stack()
-        parent = stack[-1].id if stack else None
-        handle = _Span(self, name, attrs, next(self._ids), parent)
+        handle = _Span(self, name, attrs, next(self._ids), stack)
         stack.append(handle)
         return handle
 
@@ -176,7 +187,7 @@ class Tracer:
         return stack[-1] if stack else None
 
     def _finish(self, handle: _Span, end_ns: int) -> None:
-        stack = self._stack()
+        stack = handle._stack
         if stack and stack[-1] is handle:
             stack.pop()
         else:  # out-of-order exit (generator teardown): drop to the handle
@@ -190,20 +201,19 @@ class Tracer:
             "dur": dur_us,
             "id": handle.id,
             "parent": handle.parent,
-            # Cached by _stack() when this thread's stack was created
-            # (the _stack() call above guarantees it exists).
-            "tid": self._local.tid,
+            "tid": stack.tid,
             "args": handle.args,
         }
         # list.append is atomic under the GIL; readers copy under _lock.
         self._records.append(record)
         if self.record_metrics:
-            observe = self._observe
-            if observe is None:
+            unmetered = stack.unmetered
+            unmetered.append((handle.name, dur_us / 1e6))
+            if not stack:  # the thread's outermost span just closed
                 from .metrics import registry
 
-                observe = self._observe = registry().observe
-            observe("span." + handle.name, dur_us / 1e6)
+                registry().observe_spans(unmetered)
+                unmetered.clear()
         if self.slow_ms is not None and dur_us / 1000.0 >= self.slow_ms:
             logger.warning(
                 "slow span %s: %.1f ms (threshold %.1f ms) %s",
@@ -420,7 +430,7 @@ def span(name: str, **attrs: object) -> Union[_Span, _NullSpan]:
         tracer = _process_tracer
         if tracer is None:
             return NULL_SPAN
-    return tracer.span(name, **attrs)
+    return tracer._open(name, attrs)
 
 
 def annotate(**attrs: object) -> None:

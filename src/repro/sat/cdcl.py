@@ -47,6 +47,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from ..obs.trace import span, tracing_active
 from .cnf import CNF, Lit
 
 
@@ -221,22 +222,17 @@ class CDCLSolver:
 
     def solve(self, assumptions: Sequence[Lit] = ()) -> SatResult:
         """Search for a model extending *assumptions*."""
-        from ..obs.trace import tracing_active
-
         if not tracing_active():
             return self._solve(assumptions)
-        from ..obs.trace import span
-
         with span("sat.solve", vars=self.num_vars, assumptions=len(assumptions)) as sp:
             result = self._solve(assumptions)
-            counters = self.stats()
             sp.set(
                 sat=result.satisfiable,
-                conflicts=counters["conflicts"],
-                decisions=counters["decisions"],
-                propagations=counters["propagations"],
-                restarts=counters["restarts"],
-                clause_visits=counters["clause_visits"],
+                conflicts=self.conflicts,
+                decisions=self.decisions,
+                propagations=self.propagations,
+                restarts=self.restarts,
+                clause_visits=self.clause_visits,
             )
             return result
 

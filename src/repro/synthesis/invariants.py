@@ -19,10 +19,15 @@ propositional constraints over *output* variables.  For this fragment a
 a controller simply tracks which obligations are pending (delays,
 until-releases and eventually-goals included) and discharges all of them
 every step.  Conditions are abstracted to independent adversary flags, so
-the check quantifies over ``2^m`` flag vectors; a CEGIS loop decides it
-with a handful of SAT calls, independent of the number of input variables
-— which is what lets SpecCC handle the paper's 50-variable CARA
-mode-switching specification that explicit-alphabet engines cannot touch.
+the check quantifies over ``2^m`` flag vectors.  That quantifier is
+*monotone*: a letter discharging the responses of a vector also
+discharges those of every smaller vector, and the all-flags-true vector
+is always admissible (anti-causal obligations only force flags true).  So
+``forall flags exists letter: AND_j (flag_j -> resp_j)`` holds iff one
+letter meets every response at once — a single SAT question, independent
+of the number of input variables, which is what lets SpecCC handle the
+paper's 50-variable CARA mode-switching specification that
+explicit-alphabet engines cannot touch.
 
 Soundness notes:
 
@@ -39,7 +44,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from ..logic.ast import (
     And,
@@ -93,6 +98,8 @@ class Obligation:
 class ObligationCheckResult:
     outcome: ObligationOutcome
     obligations: Tuple[Obligation, ...] = ()
+    #: Solver calls made to decide the certificate (the name predates the
+    #: single-solver check, which replaced a CEGIS loop).
     cegis_iterations: int = 0
     #: Indices of jointly-undischargeable obligations (when inconclusive).
     conflict: Optional[Tuple[int, ...]] = None
@@ -204,31 +211,11 @@ def _strip_all_next(formula: Formula) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# The CEGIS joint-dischargeability check
-
-
-def _evaluate(formula: Formula, letter: Dict[str, bool]) -> bool:
-    if isinstance(formula, Bool):
-        return formula.value
-    if isinstance(formula, Atom):
-        return letter.get(formula.name, False)
-    if isinstance(formula, Not):
-        return not _evaluate(formula.operand, letter)
-    if isinstance(formula, And):
-        return _evaluate(formula.left, letter) and _evaluate(formula.right, letter)
-    if isinstance(formula, Or):
-        return _evaluate(formula.left, letter) or _evaluate(formula.right, letter)
-    if isinstance(formula, Implies):
-        return (not _evaluate(formula.left, letter)) or _evaluate(formula.right, letter)
-    if isinstance(formula, Iff):
-        return _evaluate(formula.left, letter) == _evaluate(formula.right, letter)
-    raise TypeError(f"not propositional: {formula!r}")
+# The joint-dischargeability check
 
 
 def check_obligations(
-    formulas: Sequence[Formula],
-    outputs: Sequence[str],
-    max_iterations: int = 10_000,
+    formulas: Sequence[Formula], outputs: Sequence[str]
 ) -> ObligationCheckResult:
     """The certificate check.
 
@@ -236,10 +223,12 @@ def check_obligations(
     vector: ``forall flags exists letter: AND_j (flag_j -> resp_j)``.
     Eventually-goals carry no deadline, so the controller may serve them
     round-robin: each goal is checked *individually* on top of the
-    invariants.  Both quantifications are decided by CEGIS: a *falsifier*
-    proposes a flag vector not covered by any output letter found so far;
-    a *responder* finds a letter discharging the activated responses; the
-    letter's cover is blocked and the loop repeats.
+    invariants.  By monotonicity (module docstring) each question asks
+    for one letter meeting every constraint involved, so one solver
+    decides them all: obligation ``j`` is the clause
+    ``!s_j | constraint_j`` behind selector ``s_j``, and each question is
+    a solve under the selectors of the obligations it involves.  The
+    usual case — one letter meets *every* obligation — takes one call.
     """
     output_set = frozenset(outputs)
     obligations: List[Obligation] = []
@@ -251,96 +240,38 @@ def check_obligations(
     if not obligations:
         return ObligationCheckResult(ObligationOutcome.REALIZABLE, ())
 
-    invariants = [o for o in obligations if not o.is_goal]
-    goals = [o for o in obligations if o.is_goal]
-
-    total_iterations = 0
-    outcome, iterations, conflict = _cegis(invariants, max_iterations)
-    total_iterations += iterations
-    if outcome is not ObligationOutcome.REALIZABLE:
+    cnf = CNF()
+    selectors = [cnf.new_var() for _ in obligations]
+    for selector, obligation in zip(selectors, obligations):
+        cnf.add([-selector, encode(_constraint_of(obligation), cnf)])
+    solver = CDCLSolver(cnf)
+    answer, calls = solver.solve(selectors), 1
+    goals = [s for s, o in zip(selectors, obligations) if o.is_goal]
+    if goals and not answer:
+        # Goals are served one at a time: ask for the invariants alone,
+        # then for the invariants with each goal.
+        invariants = [s for s, o in zip(selectors, obligations) if not o.is_goal]
+        for assumptions in [invariants] + [invariants + [g] for g in goals]:
+            answer, calls = solver.solve(assumptions), calls + 1
+            if not answer:
+                break
+    if not answer:
+        index = {selector: j for j, selector in enumerate(selectors)}
+        conflict = tuple(sorted(index[lit] for lit in answer.failed_assumptions))
         return ObligationCheckResult(
-            outcome, tuple(obligations), total_iterations, conflict
+            ObligationOutcome.INCONCLUSIVE, tuple(obligations), calls, conflict
         )
-    for goal in goals:
-        pinned = Obligation(
-            goal.condition_inputs, goal.response, always_active=True
-        )
-        outcome, iterations, conflict = _cegis(
-            invariants + [pinned], max_iterations
-        )
-        total_iterations += iterations
-        if outcome is not ObligationOutcome.REALIZABLE:
-            return ObligationCheckResult(
-                outcome, tuple(obligations), total_iterations, conflict
-            )
     return ObligationCheckResult(
-        ObligationOutcome.REALIZABLE, tuple(obligations), total_iterations
+        ObligationOutcome.REALIZABLE, tuple(obligations), calls
     )
 
 
 def _constraint_of(obligation: Obligation) -> Formula:
-    """What the responder letter must satisfy for this obligation."""
+    """What the responder letter must satisfy for this obligation.
+
+    Self-conditioned obligations (condition over same-step outputs) are
+    not flagged: their implication constrains every letter.
+    """
     if obligation.self_condition is not None:
         return Implies(obligation.self_condition, obligation.response)
     return obligation.response
-
-
-def _cegis(
-    obligations: List[Obligation], max_iterations: int
-) -> Tuple[ObligationOutcome, int, Optional[Tuple[int, ...]]]:
-    """Decide ``forall flags exists letter: AND_j (flag_j -> resp_j)``.
-
-    Self-conditioned obligations (condition over same-step outputs) are
-    not flagged: their implication constrains every responder letter.
-    """
-    if not obligations:
-        return ObligationOutcome.REALIZABLE, 0, None
-    flagged = [
-        j for j, o in enumerate(obligations) if o.self_condition is None
-    ]
-    constrained = [
-        j for j, o in enumerate(obligations) if o.self_condition is not None
-    ]
-    falsifier_cnf = CNF()
-    flags = {j: falsifier_cnf.new_var(f"f{j}") for j in flagged}
-    for j in flagged:
-        if obligations[j].always_active:
-            falsifier_cnf.add([flags[j]])
-    falsifier = CDCLSolver(falsifier_cnf)
-
-    iterations = 0
-    while iterations < max_iterations:
-        iterations += 1
-        vector = falsifier.solve()
-        if not vector:
-            return ObligationOutcome.REALIZABLE, iterations, None
-        active = [j for j in flagged if vector.model[flags[j]]]
-
-        responder_cnf = CNF()
-        for j in active:
-            responder_cnf.add([encode(obligations[j].response, responder_cnf)])
-        for j in constrained:
-            responder_cnf.add(
-                [encode(_constraint_of(obligations[j]), responder_cnf)]
-            )
-        response = CDCLSolver(responder_cnf).solve()
-        if not response:
-            return (
-                ObligationOutcome.INCONCLUSIVE,
-                iterations,
-                tuple(active) + tuple(constrained),
-            )
-        letter = {
-            name: response.model[responder_cnf.var(name)]
-            for name in responder_cnf._names
-            if not name.startswith("__")
-        }
-        uncovered = [
-            flags[j]
-            for j in flagged
-            if not _evaluate(obligations[j].response, letter)
-        ]
-        if not uncovered:
-            return ObligationOutcome.REALIZABLE, iterations, None
-        falsifier.add_clause(uncovered)
-    return ObligationOutcome.INCONCLUSIVE, iterations, None

@@ -11,6 +11,8 @@ inputs with the same assertions:
   post-hoc losing-region fixpoint for the safety game;
 * :mod:`reference.bounded` — the from-scratch bounded-synthesis encoding;
 * :mod:`reference.semantics` — Algorithm 1 as one monolithic loop;
+* :mod:`reference.invariants` — the CEGIS loop (falsifier + responder)
+  for the obligation certificate;
 * :mod:`reference.batch` — the cold fresh-process batch runner.
 
 Tests import the package as ``reference`` (pytest puts ``tests/`` on

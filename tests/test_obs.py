@@ -191,6 +191,18 @@ class TestTracer:
         summary = registry().histograms_summary()
         assert summary["span.pipeline.unit"]["count"] == 1
 
+    def test_nested_spans_reach_the_histograms_when_the_root_closes(self):
+        registry().reset()
+        tracer = Tracer()
+        with tracer.span("pipeline.root"):
+            for _ in range(3):
+                with tracer.span("pipeline.inner"):
+                    pass
+            assert "span.pipeline.inner" not in registry().histograms_summary()
+        summary = registry().histograms_summary()
+        assert summary["span.pipeline.inner"]["count"] == 3
+        assert summary["span.pipeline.root"]["count"] == 1
+
 
 class TestChromeExport:
     def test_export_passes_the_ci_validator(self, tmp_path):
@@ -350,6 +362,27 @@ class TestTracingNeverChangesResults:
             set_process_tracer(None)
         assert traced == untraced
         assert len(tracer.records()) > 0  # the tracer really was live
+
+
+class TestStageSpans:
+    def test_every_uncached_component_tries_the_certificate_first(self):
+        from repro.casestudies import mode_switching_requirements
+        from repro.synthesis.realizability import clear_caches
+
+        clear_caches()
+        tracer = Tracer(name="stages", record_metrics=False)
+        with activated(tracer):
+            SpecCC().check(mode_switching_requirements())
+        records = tracer.records()
+        components = [
+            r for r in records
+            if r["name"] == "solve.component" and not r["args"]["cached"]
+        ]
+        assert components
+        for component in components:
+            children = [r for r in records if r["parent"] == component["id"]]
+            assert children[0]["name"] == "solve.obligations", children
+            assert set(children[0]["args"]) == {"obligations", "sat_calls", "outcome"}
 
 
 class TestCLITraceExport:

@@ -7,6 +7,9 @@ from __future__ import annotations
 import asyncio
 import io
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -1353,3 +1356,20 @@ class TestCacheStats:
         tool.check(requirements)
         assert graph.stats()["parses"].hits > hits_before
         assert tool.translation_cache_stats() == sizes
+
+
+def test_import_repro_leaves_the_service_tier_unloaded():
+    """``import repro`` stays cheap; the service exports load on first use."""
+    program = (
+        "import sys, repro;"
+        "print('repro.service' in sys.modules);"
+        "from repro import WorkerPool;"
+        "print(WorkerPool.__module__)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", program],
+        capture_output=True, text=True, check=True,
+        env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
+        cwd=Path(__file__).parent.parent,
+    )
+    assert result.stdout.split() == ["False", "repro.service.pool"]

@@ -7,7 +7,9 @@ import functools
 
 import pytest
 
+from repro.automata.ltlsat import satisfiable
 from repro.logic import parse
+from repro.logic.ast import conj
 from repro.synthesis import (
     Engine,
     MealyMachine,
@@ -417,6 +419,18 @@ class TestObligations:
         )
         assert result.outcome is ObligationOutcome.INCONCLUSIVE
         assert result.conflict is not None
+
+    def test_conflict_indexes_result_obligations(self):
+        # The goal F o is checked on top of the invariants p and !o; the
+        # conflict must name o and !o by their place in result.obligations.
+        result = check_obligations(
+            [parse("G (c -> F o)"), parse("G (a -> p)"), parse("G (b -> !o)")],
+            ["o", "p"],
+        )
+        assert result.outcome is ObligationOutcome.INCONCLUSIVE
+        assert {0, 2} <= set(result.conflict)
+        named = [result.obligations[j].response for j in result.conflict]
+        assert satisfiable(conj(named)) is None
 
     def test_compatible_responses_realizable(self):
         result = check_obligations(
